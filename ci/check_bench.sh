@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Perf-regression gate: run bench_rollup and bench_heap_sorting in JSON
-# mode and compare every named measurement against the committed baseline
-# (ci/BENCH_baseline.json).
-# A measurement fails the gate when it is BOTH more than TDE_BENCH_TOLERANCE
-# slower relatively AND more than TDE_BENCH_MIN_MS slower absolutely — the
-# absolute floor keeps sub-millisecond timer noise from failing CI.
+# mode TRIALS (3) times each and compare the median of every named
+# measurement against the committed baseline (ci/BENCH_baseline.json). The
+# report prints each measurement's min–max range over the trials.
+# A measurement fails the gate when its median is BOTH more than
+# TDE_BENCH_TOLERANCE slower relatively AND more than TDE_BENCH_MIN_MS
+# slower absolutely — the absolute floor keeps sub-millisecond timer noise
+# from failing CI, and the median keeps one noisy trial from failing it.
 #
 # Usage: ci/check_bench.sh <build-dir> [--rebaseline]
 #
@@ -17,7 +19,7 @@
 #   TDE_SORT_ROWS        ORDER BY / Top-N table size (default: 1000000;
 #                        recorded in the baseline as "sort_rows")
 #
-# --rebaseline replaces the committed baseline with this run's numbers
+# --rebaseline replaces the committed baseline with this run's medians
 # (use after an intentional perf change, on the reference machine).
 set -euo pipefail
 
@@ -28,30 +30,48 @@ MODE="${2:-check}"
 BASELINE="$ROOT/ci/BENCH_baseline.json"
 ROWS="${TDE_ROLLUP_ROWS:-1000000}"
 SORT_ROWS="${TDE_SORT_ROWS:-1000000}"
+TRIALS=3
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-(cd "$WORK" && TDE_ROLLUP_ROWS="$ROWS" "$BUILD/bench/bench_rollup" --json \
-    > bench.out) || { cat "$WORK/bench.out"; exit 1; }
-[[ -f "$WORK/BENCH_rollup.json" ]] || {
-  echo "bench_rollup wrote no BENCH_rollup.json"; exit 1; }
-# The sorting bench's Fig. 6 half replays TPC-H imports; shrink them so
-# the gate only pays for the ORDER BY / Top-N measurements.
-(cd "$WORK" && TDE_SORT_ROWS="$SORT_ROWS" TDE_SF=0.001 \
-    TDE_FLIGHTS_ROWS=1000 "$BUILD/bench/bench_heap_sorting" --json \
-    > sortbench.out) || { cat "$WORK/sortbench.out"; exit 1; }
-[[ -f "$WORK/BENCH_sorting.json" ]] || {
-  echo "bench_heap_sorting wrote no BENCH_sorting.json"; exit 1; }
+for trial in $(seq "$TRIALS"); do
+  T="$WORK/trial$trial"
+  mkdir -p "$T"
+  (cd "$T" && TDE_ROLLUP_ROWS="$ROWS" "$BUILD/bench/bench_rollup" --json \
+      > bench.out) || { cat "$T/bench.out"; exit 1; }
+  [[ -f "$T/BENCH_rollup.json" ]] || {
+    echo "bench_rollup wrote no BENCH_rollup.json"; exit 1; }
+  # The sorting bench's Fig. 6 half replays TPC-H imports; shrink them so
+  # the gate only pays for the ORDER BY / Top-N measurements.
+  (cd "$T" && TDE_SORT_ROWS="$SORT_ROWS" TDE_SF=0.001 \
+      TDE_FLIGHTS_ROWS=1000 "$BUILD/bench/bench_heap_sorting" --json \
+      > sortbench.out) || { cat "$T/sortbench.out"; exit 1; }
+  [[ -f "$T/BENCH_sorting.json" ]] || {
+    echo "bench_heap_sorting wrote no BENCH_sorting.json"; exit 1; }
+done
 
 # One merged doc: measurement names are globally unique across benches.
+# Each measurement's "ms" is its median over the trials; "min_ms" and
+# "max_ms" record the spread.
 FRESH="$WORK/BENCH_fresh.json"
-python3 - "$WORK/BENCH_rollup.json" "$WORK/BENCH_sorting.json" \
-    "$FRESH" <<'EOF'
-import json, sys
-rollup = json.load(open(sys.argv[1]))
-sorting = json.load(open(sys.argv[2]))
-doc = {"bench": "gate", "results": rollup["results"] + sorting["results"]}
-json.dump(doc, open(sys.argv[3], "w"))
+python3 - "$FRESH" "$WORK"/trial*/BENCH_rollup.json \
+    "$WORK"/trial*/BENCH_sorting.json <<'EOF'
+import json, statistics, sys
+runs = {}
+for path in sys.argv[2:]:
+    for r in json.load(open(path))["results"]:
+        runs.setdefault(r["name"], []).append(r)
+results = []
+for name, trials in runs.items():
+    ms = [r["ms"] for r in trials]
+    merged = dict(trials[0])
+    merged["ms"] = statistics.median(ms)
+    merged["min_ms"], merged["max_ms"] = min(ms), max(ms)
+    # A bench whose output drifts between trials must not look stable.
+    if any(r.get("groups") != trials[0].get("groups") for r in trials):
+        merged["groups"] = [r.get("groups") for r in trials]
+    results.append(merged)
+json.dump({"bench": "gate", "results": results}, open(sys.argv[1], "w"))
 EOF
 
 if [[ "$MODE" == "--rebaseline" ]]; then
@@ -59,6 +79,8 @@ if [[ "$MODE" == "--rebaseline" ]]; then
 import json, sys
 fresh, baseline = sys.argv[1], sys.argv[2]
 doc = json.load(open(fresh))
+for r in doc["results"]:
+    del r["min_ms"], r["max_ms"]
 doc["rows"] = int(sys.argv[3])
 doc["sort_rows"] = int(sys.argv[4])
 json.dump(doc, open(baseline, "w"), indent=1)
@@ -74,12 +96,13 @@ fi
   exit 1
 }
 
-python3 - "$FRESH" "$BASELINE" "$ROWS" "$SORT_ROWS" <<'EOF'
+python3 - "$FRESH" "$BASELINE" "$ROWS" "$SORT_ROWS" "$TRIALS" <<'EOF'
 import json, os, sys
 fresh = json.load(open(sys.argv[1]))
 base = json.load(open(sys.argv[2]))
 rows = int(sys.argv[3])
 sort_rows = int(sys.argv[4])
+trials = int(sys.argv[5])
 tol = float(os.environ.get("TDE_BENCH_TOLERANCE", "0.25"))
 floor_ms = float(os.environ.get("TDE_BENCH_MIN_MS", "20"))
 
@@ -98,9 +121,11 @@ if missing:
     sys.exit(f"measurements missing from this run: {missing}")
 
 failed = []
-print(f"{'measurement':<28}{'base_ms':>10}{'new_ms':>10}{'delta':>8}")
+print(f"{'measurement':<28}{'base_ms':>10}{'median_ms':>11}{'delta':>8}"
+      f"{'min-max_ms':>18}")
 for name in sorted(old):
     b, n = old[name]["ms"], new[name]["ms"]
+    spread = f"{new[name]['min_ms']:.1f}-{new[name]['max_ms']:.1f}"
     if old[name].get("groups") != new[name].get("groups"):
         failed.append(f"{name}: groups changed "
                       f"{old[name].get('groups')} -> {new[name].get('groups')}"
@@ -108,10 +133,10 @@ for name in sorted(old):
     rel = (n - b) / b if b > 0 else 0.0
     mark = ""
     if n - b > floor_ms and rel > tol:
-        failed.append(f"{name}: {b:.1f}ms -> {n:.1f}ms (+{rel:.0%}, "
+        failed.append(f"{name}: {b:.1f}ms -> {n:.1f}ms median (+{rel:.0%}, "
                       f"tolerance {tol:.0%})")
         mark = "  REGRESSION"
-    print(f"{name:<28}{b:>10.1f}{n:>10.1f}{rel:>+8.0%}{mark}")
+    print(f"{name:<28}{b:>10.1f}{n:>11.1f}{rel:>+8.0%}{spread:>18}{mark}")
 
 added = sorted(set(new) - set(old))
 if added:
@@ -122,6 +147,6 @@ if failed:
     for f in failed:
         print(f"  {f}")
     sys.exit(1)
-print("\nperf-regression gate passed "
-      f"(tolerance {tol:.0%}, floor {floor_ms:.0f}ms)")
+print(f"\nperf-regression gate passed (median of {trials} trials, "
+      f"tolerance {tol:.0%}, floor {floor_ms:.0f}ms)")
 EOF

@@ -536,26 +536,12 @@ Status Engine::SaveDatabase(const std::string& path) const {
 
 Result<Engine> Engine::OpenDatabase(const std::string& path,
                                     OpenOptions options) {
-  // Sniff the magic: v2 opens lazily (O(directory)), everything else takes
-  // the eager v1 route, which also accepts v2 images for compatibility.
-  uint8_t magic[8] = {0};
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    const size_t got = std::fread(magic, 1, sizeof(magic), f);
-    std::fclose(f);
-    if (options.lazy && pager::IsV2Magic(magic, got)) {
-      auto cache =
-          std::make_shared<pager::ColumnCache>(options.cache_budget_bytes);
-      TDE_ASSIGN_OR_RETURN(Database db,
-                           pager::OpenDatabaseV2(path, cache));
-      Engine e;
-      *e.database() = std::move(db);
-      e.cache_ = std::move(cache);
-      return e;
-    }
-  }
-  TDE_ASSIGN_OR_RETURN(Database db, ReadDatabase(path));
+  auto cache =
+      std::make_shared<pager::ColumnCache>(options.cache_budget_bytes);
+  TDE_ASSIGN_OR_RETURN(Database db, pager::OpenDatabaseV2(path, cache));
   Engine e;
   *e.database() = std::move(db);
+  e.cache_ = std::move(cache);
   return e;
 }
 
@@ -675,24 +661,27 @@ Result<uint64_t> Engine::AppendRows(const std::string& table_name,
     bool have_mm = false;
     int64_t mn = 0, mx = 0;
     if (col->type() == TypeId::kString) {
-      // Re-intern through the column's heap; appended entries land behind
-      // the sorted prefix, so token order stops implying string order.
+      // Re-intern through the column's heap, one token per string as at
+      // import: string grouping and COUNTD key on tokens. New entries land
+      // behind the sorted prefix, so token order stops implying string
+      // order.
       StringHeap* heap = col->mutable_heap();
       if (heap == nullptr) {
         auto h = std::make_shared<StringHeap>();
         heap = h.get();
         col->set_heap(std::move(h));
       }
+      const uint64_t entries_before = heap->entry_count();
       std::vector<Lane> lanes(n);
       for (size_t r = 0; r < n; ++r) {
         if (in.lanes[r] == kNullSentinel) {
           lanes[r] = kNullSentinel;
           any_null = true;
         } else {
-          lanes[r] = heap->Add(in.heap->Get(in.lanes[r]));
+          lanes[r] = col->InternString(in.heap->Get(in.lanes[r]));
         }
       }
-      heap->set_sorted(false);
+      if (heap->entry_count() != entries_before) heap->set_sorted(false);
       TDE_RETURN_NOT_OK(seg->Append(lanes.data(), n));
     } else {
       for (size_t r = 0; r < n; ++r) {

@@ -16,12 +16,10 @@
 
 namespace tde {
 
-/// How Engine::OpenDatabase materializes a v2 file.
+/// How Engine::OpenDatabase pages a database file: columns stay cold until
+/// a query touches them, and materialized payloads live in a byte-budget
+/// LRU cache.
 struct OpenDatabaseOptions {
-  /// Lazy (default): columns stay cold until a query touches them, and
-  /// materialized payloads live in a byte-budget LRU cache. False forces
-  /// the eager v1-style load. v1 files are always eager.
-  bool lazy = true;
   /// Budget of the column cache, charged in compressed (on-disk) bytes.
   uint64_t cache_budget_bytes = 256ull << 20;
 };
@@ -119,16 +117,20 @@ class Engine {
   /// the columns they touch.
   Status SaveDatabase(const std::string& path) const;
 
-  /// How OpenDatabase materializes a v2 file (OpenDatabaseOptions; aliased
+  /// How OpenDatabase pages a database file (OpenDatabaseOptions; aliased
   /// here for call-site brevity: Engine::OpenOptions).
   using OpenOptions = OpenDatabaseOptions;
 
-  /// Loads a single-file database — v1 ("TDEDB001", eager) or v2
-  /// ("TDEDB002", lazy by default: the open reads only the directory).
+  /// Opens a single-file database written by SaveDatabase. The open reads
+  /// only the header and directory; columns fault in when a query touches
+  /// them. Anything else — a missing or unreadable path, a file of another
+  /// format (the retired v1 layout included), a truncated or corrupt
+  /// header or directory — is an IOError.
   static Result<Engine> OpenDatabase(const std::string& path,
                                      OpenOptions options = {});
 
-  /// The column cache of a lazily opened v2 database (null otherwise).
+  /// The column cache of an opened database (null for an engine that was
+  /// not opened from a file).
   /// Exposes residency and lets callers retune the budget at runtime.
   pager::ColumnCache* column_cache() const { return cache_.get(); }
 

@@ -144,6 +144,15 @@ void Column::set_data(std::shared_ptr<EncodedStream> s) {
 void Column::set_heap(std::shared_ptr<StringHeap> h) {
   std::lock_guard<std::mutex> lock(load_mu_);
   heap_ = std::move(h);
+  interner_.reset();
+}
+
+Lane Column::InternString(std::string_view s) {
+  if (interner_ == nullptr) {
+    interner_ = std::make_unique<HeapAccelerator>(heap_.get());
+    interner_->IndexExisting();
+  }
+  return interner_->Add(s);
 }
 
 void Column::set_array_dict(std::shared_ptr<ArrayDictionary> d) {

@@ -9,6 +9,7 @@
 #include "src/encoding/metadata.h"
 #include "src/encoding/stream.h"
 #include "src/storage/dictionary.h"
+#include "src/storage/heap_accelerator.h"
 #include "src/storage/pager/pager_types.h"
 #include "src/storage/string_heap.h"
 
@@ -36,9 +37,9 @@ const char* ResidencyName(ColumnResidency r);
 /// A stored column: a fixed-width encoded stream, optional dictionary
 /// (array or heap), and the metadata extracted while it was built.
 ///
-/// A column is either *hot* (built in memory or eagerly deserialized — the
+/// A column is either *hot* (built in memory, or warmed after an open — the
 /// stream/heap/dictionary members are populated directly) or *cold* (opened
-/// from a v2 database file: only directory facts are resident and the data
+/// from a database file: only directory facts are resident and the data
 /// blobs are materialized through the ColumnCache on first touch, and may
 /// be evicted again under budget pressure). Everything the planner consults
 /// — rows, widths, encoding type, metadata, physical/logical size — answers
@@ -75,6 +76,13 @@ class Column {
   StringHeap* mutable_heap() { return heap_.get(); }
   std::shared_ptr<StringHeap> heap_ptr() const;
   void set_heap(std::shared_ptr<StringHeap> h);
+
+  /// Token of `s` in this column's heap, appended only when the heap does
+  /// not hold the string yet, so equal strings keep one token (the append
+  /// path's HeapAccelerator, Sect. 5.1.4). The index over the heap is built
+  /// on first use — O(heap) once — and kept until set_heap replaces the
+  /// heap. Requires a heap; single writer, like every in-place mutation.
+  Lane InternString(std::string_view s);
 
   const ArrayDictionary* array_dict() const;
   void set_array_dict(std::shared_ptr<ArrayDictionary> d);
@@ -156,8 +164,10 @@ class Column {
   std::shared_ptr<const pager::LoadedColumn> PinIfResident() const;
 
   /// Promotes a cold column to a plain hot column (materializes, adopts the
-  /// shared payload as the direct members, detaches from the cache). Used
-  /// by eager v2 reads and by in-place column transformations. Safe to call
+  /// shared payload as the direct members, detaches from the cache). An
+  /// eager load is an open followed by Warm(); in-place column
+  /// transformations warm first too. The segments of a segmented column
+  /// still fault in on first touch, now outside the cache. Safe to call
   /// while other threads read the column: the view swaps atomically under
   /// the internal mutex. Idempotent.
   Status Warm();
@@ -177,6 +187,7 @@ class Column {
   std::shared_ptr<ArrayDictionary> array_dict_;
   ColumnMetadata meta_;
   int encoding_changes_ = 0;
+  std::unique_ptr<HeapAccelerator> interner_;  // over heap_; see InternString
 
   // Cold state. `cold_` is set once before the column is shared and then
   // immutable for the column's lifetime — Warm() flips `warmed_` instead of

@@ -1,121 +1,6 @@
 #include "src/storage/database_file.h"
 
-#include <cstdio>
-#include <cstring>
-#include <limits>
-#include <span>
-
-#include "src/storage/pager/format.h"
-#include "src/storage/segment/segment_builder.h"
-#include "src/storage/segment/segmented_stream.h"
-
 namespace tde {
-
-namespace {
-
-constexpr char kMagic[8] = {'T', 'D', 'E', 'D', 'B', '0', '0', '1'};
-
-class Writer {
- public:
-  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
-  void U8(uint8_t v) { out_->push_back(v); }
-  void U32(uint32_t v) { Raw(&v, 4); }
-  void U64(uint64_t v) { Raw(&v, 8); }
-  void I64(int64_t v) { Raw(&v, 8); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-  void Bytes(const std::vector<uint8_t>& b) {
-    U64(b.size());
-    Raw(b.data(), b.size());
-  }
-  void Raw(const void* p, size_t n) {
-    const size_t old = out_->size();
-    out_->resize(old + n);
-    std::memcpy(out_->data() + old, p, n);
-  }
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-// All bounds checks are written in subtraction form (`n > size - pos`,
-// with pos <= size as invariant) so a hostile length field near UINT64_MAX
-// cannot wrap the addition and sneak past the check.
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& in) : in_(in) {}
-  Status U8(uint8_t* v) { return Raw(v, 1); }
-  Status U32(uint32_t* v) { return Raw(v, 4); }
-  Status U64(uint64_t* v) { return Raw(v, 8); }
-  Status I64(int64_t* v) { return Raw(v, 8); }
-  Status Str(std::string* s) {
-    uint32_t n = 0;
-    TDE_RETURN_NOT_OK(U32(&n));
-    if (n > in_.size() - pos_) return Corrupt();
-    s->assign(reinterpret_cast<const char*>(in_.data() + pos_), n);
-    pos_ += n;
-    return Status::OK();
-  }
-  Status Bytes(std::vector<uint8_t>* b) {
-    uint64_t n = 0;
-    TDE_RETURN_NOT_OK(U64(&n));
-    if (n > in_.size() - pos_) return Corrupt();
-    b->assign(in_.begin() + static_cast<ptrdiff_t>(pos_),
-              in_.begin() + static_cast<ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return Status::OK();
-  }
-  Status Raw(void* p, size_t n) {
-    if (n > in_.size() - pos_) return Corrupt();
-    std::memcpy(p, in_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-  /// Guards allocations sized from untrusted length fields.
-  bool CanRead(uint64_t n) const { return n <= in_.size() - pos_; }
-  static Status Corrupt() {
-    return Status::IOError("truncated or corrupt database file");
-  }
-
- private:
-  const std::vector<uint8_t>& in_;
-  size_t pos_ = 0;
-};
-
-void WriteMetadata(Writer* w, const ColumnMetadata& m) {
-  uint8_t flags = 0;
-  if (m.sorted) flags |= 1;
-  if (m.dense) flags |= 2;
-  if (m.unique) flags |= 4;
-  if (m.min_max_known) flags |= 8;
-  if (m.cardinality_known) flags |= 16;
-  if (m.null_known) flags |= 32;
-  if (m.has_nulls) flags |= 64;
-  w->U8(flags);
-  w->I64(m.min_value);
-  w->I64(m.max_value);
-  w->U64(m.cardinality);
-}
-
-Status ReadMetadata(Reader* r, ColumnMetadata* m) {
-  uint8_t flags = 0;
-  TDE_RETURN_NOT_OK(r->U8(&flags));
-  m->sorted = flags & 1;
-  m->dense = flags & 2;
-  m->unique = flags & 4;
-  m->min_max_known = flags & 8;
-  m->cardinality_known = flags & 16;
-  m->null_known = flags & 32;
-  m->has_nulls = flags & 64;
-  TDE_RETURN_NOT_OK(r->I64(&m->min_value));
-  TDE_RETURN_NOT_OK(r->I64(&m->max_value));
-  TDE_RETURN_NOT_OK(r->U64(&m->cardinality));
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::shared_ptr<Table>> Database::GetTable(
     const std::string& name) const {
@@ -147,179 +32,6 @@ uint64_t Database::LogicalSize() const {
   uint64_t n = 0;
   for (const auto& t : tables()) n += t->LogicalSize();
   return n;
-}
-
-Status SerializeDatabase(const Database& db, std::vector<uint8_t>* out) {
-  out->clear();
-  Writer w(out);
-  w.Raw(kMagic, sizeof(kMagic));
-  const auto tables = db.tables();
-  w.U32(static_cast<uint32_t>(tables.size()));
-  for (const auto& t : tables) {
-    w.Str(t->name());
-    w.U32(static_cast<uint32_t>(t->num_columns()));
-    for (size_t i = 0; i < t->num_columns(); ++i) {
-      const Column& c = t->column(i);
-      // Cold columns must be materialized (and held) for the copy-through.
-      TDE_ASSIGN_OR_RETURN(auto pin, c.Pin());
-      const EncodedStream* stream = c.data();
-      if (stream == nullptr) {
-        return Status::Internal("column '" + t->name() + "." + c.name() +
-                                "' has no data stream to serialize");
-      }
-      // The v1 format stores one stream blob per column; segmented columns
-      // collapse back to a monolithic re-encode under the same encoder
-      // configuration their segments sealed with.
-      std::unique_ptr<EncodedStream> flat;
-      if (stream->segmented()) {
-        const auto* seg = static_cast<const SegmentedStream*>(stream);
-        TDE_ASSIGN_OR_RETURN(
-            flat, MaterializeMonolithic(*stream, seg->encoder_options()));
-        stream = flat.get();
-      }
-      w.Str(c.name());
-      w.U8(static_cast<uint8_t>(c.type()));
-      w.U8(static_cast<uint8_t>(c.compression()));
-      WriteMetadata(&w, c.metadata());
-      w.U32(static_cast<uint32_t>(c.encoding_changes()));
-      w.Bytes(stream->buffer());
-      if (c.compression() == CompressionKind::kHeap) {
-        const StringHeap* h = c.heap();
-        if (h == nullptr) {
-          return Status::Internal("heap column '" + t->name() + "." +
-                                  c.name() + "' has no heap to serialize");
-        }
-        w.Bytes(h->buffer());
-        w.U64(h->entry_count());
-        w.U8(h->sorted() ? 1 : 0);
-        w.U8(static_cast<uint8_t>(h->collation()));
-      } else if (c.compression() == CompressionKind::kArrayDict) {
-        const ArrayDictionary* d = c.array_dict();
-        if (d == nullptr) {
-          return Status::Internal("dictionary column '" + t->name() + "." +
-                                  c.name() + "' has no dictionary");
-        }
-        w.U8(static_cast<uint8_t>(d->type));
-        w.U8(d->sorted ? 1 : 0);
-        w.U64(d->values.size());
-        w.Raw(d->values.data(), d->values.size() * sizeof(Lane));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
-  if (pager::IsV2Magic(bytes.data(), bytes.size())) {
-    return pager::ReadDatabaseV2Eager(
-        std::span<const uint8_t>(bytes.data(), bytes.size()));
-  }
-  Reader r(bytes);
-  char magic[8];
-  TDE_RETURN_NOT_OK(r.Raw(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return {Status::IOError("not a TDE database file")};
-  }
-  Database db;
-  uint32_t tables = 0;
-  TDE_RETURN_NOT_OK(r.U32(&tables));
-  for (uint32_t ti = 0; ti < tables; ++ti) {
-    std::string tname;
-    TDE_RETURN_NOT_OK(r.Str(&tname));
-    auto table = std::make_shared<Table>(tname);
-    uint32_t cols;
-    TDE_RETURN_NOT_OK(r.U32(&cols));
-    for (uint32_t ci = 0; ci < cols; ++ci) {
-      std::string cname;
-      TDE_RETURN_NOT_OK(r.Str(&cname));
-      uint8_t type_raw = 0, comp_raw = 0;
-      TDE_RETURN_NOT_OK(r.U8(&type_raw));
-      TDE_RETURN_NOT_OK(r.U8(&comp_raw));
-      if (type_raw >= kNumTypes) {
-        return {Status::IOError("bad type byte for column '" + cname + "'")};
-      }
-      if (comp_raw > static_cast<uint8_t>(CompressionKind::kArrayDict)) {
-        return {Status::IOError("bad compression byte for column '" + cname +
-                                "'")};
-      }
-      auto col = std::make_shared<Column>(cname, static_cast<TypeId>(type_raw));
-      col->set_compression(static_cast<CompressionKind>(comp_raw));
-      TDE_RETURN_NOT_OK(ReadMetadata(&r, col->mutable_metadata()));
-      uint32_t changes = 0;
-      TDE_RETURN_NOT_OK(r.U32(&changes));
-      col->set_encoding_changes(static_cast<int>(changes));
-      std::vector<uint8_t> stream_bytes;
-      TDE_RETURN_NOT_OK(r.Bytes(&stream_bytes));
-      TDE_ASSIGN_OR_RETURN(auto stream,
-                           EncodedStream::Open(std::move(stream_bytes)));
-      col->set_data(std::move(stream));
-      if (col->compression() == CompressionKind::kHeap) {
-        std::vector<uint8_t> heap_bytes;
-        uint64_t entries;
-        uint8_t sorted, collation;
-        TDE_RETURN_NOT_OK(r.Bytes(&heap_bytes));
-        TDE_RETURN_NOT_OK(r.U64(&entries));
-        TDE_RETURN_NOT_OK(r.U8(&sorted));
-        TDE_RETURN_NOT_OK(r.U8(&collation));
-        if (collation > static_cast<uint8_t>(Collation::kLocale)) {
-          return {Status::IOError("bad collation byte for column '" + cname +
-                                  "'")};
-        }
-        // Each heap entry is at least its 4-byte length prefix.
-        if (entries > heap_bytes.size() / 4) return Reader::Corrupt();
-        col->set_heap(std::make_shared<StringHeap>(StringHeap::FromParts(
-            std::move(heap_bytes), entries, sorted != 0,
-            static_cast<Collation>(collation))));
-      } else if (col->compression() == CompressionKind::kArrayDict) {
-        auto dict = std::make_shared<ArrayDictionary>();
-        uint8_t dtype, sorted;
-        uint64_t n = 0;
-        TDE_RETURN_NOT_OK(r.U8(&dtype));
-        TDE_RETURN_NOT_OK(r.U8(&sorted));
-        TDE_RETURN_NOT_OK(r.U64(&n));
-        if (dtype >= kNumTypes) {
-          return {Status::IOError("bad dictionary type for column '" + cname +
-                                  "'")};
-        }
-        dict->type = static_cast<TypeId>(dtype);
-        dict->sorted = sorted != 0;
-        // `n * sizeof(Lane)` could wrap; divide the remaining bytes instead.
-        if (n > std::numeric_limits<uint64_t>::max() / sizeof(Lane) ||
-            !r.CanRead(n * sizeof(Lane))) {
-          return Reader::Corrupt();
-        }
-        dict->values.resize(n);
-        TDE_RETURN_NOT_OK(r.Raw(dict->values.data(), n * sizeof(Lane)));
-        col->set_array_dict(std::move(dict));
-      }
-      table->AddColumn(std::move(col));
-    }
-    db.AddTable(std::move(table));
-  }
-  return db;
-}
-
-Status WriteDatabase(const Database& db, const std::string& path) {
-  std::vector<uint8_t> bytes;
-  TDE_RETURN_NOT_OK(SerializeDatabase(db, &bytes));
-  // Temp file + rename: atomic replace, and a lazy engine reading from
-  // `path` keeps its fd/mmap on the old inode (see WriteFileAtomic).
-  return pager::WriteFileAtomic(path, bytes);
-}
-
-Result<Database> ReadDatabase(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {Status::IOError("cannot open '" + path + "'")};
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  const size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) {
-    return {Status::IOError("short read from '" + path + "'")};
-  }
-  return DeserializeDatabase(bytes);
 }
 
 }  // namespace tde

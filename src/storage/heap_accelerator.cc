@@ -33,17 +33,37 @@ Lane HeapAccelerator::Add(std::string_view s) {
   return token;
 }
 
-Lane HeapAccelerator::Probe(std::string_view s, uint64_t hash) {
-  if ((distinct_ + 1) * 2 > slots_.size()) Grow();
+void HeapAccelerator::IndexExisting() {
+  arrived_sorted_ = false;
+  for (const Lane token : heap_->AllTokens()) {
+    const std::string_view s = heap_->Get(token);
+    const uint64_t h = CollationHash(Collation::kBinary, s);
+    if ((distinct_ + 1) * 2 > slots_.size()) Grow();
+    Slot* slot = Find(s, h);
+    if (slot->used) continue;
+    *slot = {token, h, true};
+    ++distinct_;
+  }
+}
+
+HeapAccelerator::Slot* HeapAccelerator::Find(std::string_view s,
+                                             uint64_t hash) {
   uint64_t idx = hash & mask_;
   while (slots_[idx].used) {
     if (slots_[idx].hash == hash && heap_->Get(slots_[idx].token) == s) {
-      return slots_[idx].token;
+      break;
     }
     idx = (idx + 1) & mask_;
   }
+  return &slots_[idx];
+}
+
+Lane HeapAccelerator::Probe(std::string_view s, uint64_t hash) {
+  if ((distinct_ + 1) * 2 > slots_.size()) Grow();
+  Slot* slot = Find(s, hash);
+  if (slot->used) return slot->token;
   const Lane token = heap_->Add(s);
-  slots_[idx] = {token, hash, true};
+  *slot = {token, hash, true};
   ++distinct_;
   return token;
 }

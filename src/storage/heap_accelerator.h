@@ -26,6 +26,13 @@ class HeapAccelerator {
   /// After the accelerator has given up, every call appends.
   Lane Add(std::string_view s);
 
+  /// Indexes the entries the heap already holds (the first of equal
+  /// strings wins), so Add hands out their tokens instead of appending
+  /// duplicates: how appends to an imported column keep one token per
+  /// string. O(heap) once. Arrival order is not tracked afterwards
+  /// (arrived_sorted() turns false).
+  void IndexExisting();
+
   /// False once the element threshold was passed.
   bool active() const { return active_; }
 
@@ -42,6 +49,8 @@ class HeapAccelerator {
   };
 
   void Grow();
+  /// The slot holding `s`, or the empty slot where it belongs.
+  Slot* Find(std::string_view s, uint64_t hash);
   Lane Probe(std::string_view s, uint64_t hash);
 
   StringHeap* heap_;

@@ -24,11 +24,10 @@ constexpr uint64_t kSegmentShellCharge = 64;
 /// buffer. Errors name the table and column so a corrupt file is
 /// diagnosable from the Status alone.
 Result<std::vector<uint8_t>> FetchBlob(const ColdSource& src,
-                                       const ColumnCache::BlobReadFn& read,
                                        const BlobRef& ref, const char* what,
                                        observe::Counter* checksum_failures) {
   std::vector<uint8_t> scratch;
-  auto span_r = read(ref, &scratch);
+  auto span_r = src.file->Read(ref.offset, ref.length, &scratch);
   if (!span_r.ok()) {
     return {Status::IOError("column " + src.table_name + "." +
                             src.column_name + " " + what + " blob: " +
@@ -95,17 +94,17 @@ SegmentedStream::Loader MakeSegmentLoader(
   };
 }
 
-Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
-    const ColdSource& src, const ColumnCache::BlobReadFn& read,
-    bool count_bytes_read, bool lazy_segments,
-    observe::Counter* checksum_failures) {
+/// Loads and verifies a column's blobs into a payload. No cache
+/// bookkeeping: Ensure installs the result.
+Result<std::shared_ptr<const LoadedColumn>> LoadPayload(
+    const ColdSource& src, observe::Counter* checksum_failures) {
   auto payload = std::make_shared<LoadedColumn>();
 
   if (src.segments.empty()) {
     payload->compressed_bytes = src.CompressedBytes();
     TDE_ASSIGN_OR_RETURN(
-        auto stream_bytes, FetchBlob(src, read, src.stream, "stream",
-                                     checksum_failures));
+        auto stream_bytes,
+        FetchBlob(src, src.stream, "stream", checksum_failures));
     auto stream_r = EncodedStream::Open(std::move(stream_bytes));
     if (!stream_r.ok()) {
       return {Status::IOError("column " + src.table_name + "." +
@@ -114,56 +113,26 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
     }
     payload->stream = std::shared_ptr<EncodedStream>(stream_r.MoveValue());
   } else {
-    // Segmented (format v3): the shell is built from directory facts; lazy
-    // mode defers each segment's blob to first touch so a pruned query
+    // Segmented (format v3): the shell is built from directory facts and
+    // each segment's blob is deferred to first touch, so a pruned query
     // faults in only the segments it scans.
     auto seg = std::make_shared<SegmentedStream>();
-    uint64_t segment_bytes = 0;
     for (size_t i = 0; i < src.segments.size(); ++i) {
       const ColdSegment& s = src.segments[i];
-      if (lazy_segments) {
-        TDE_RETURN_NOT_OK(seg->AddCold(
-            s.shape, MakeSegmentLoader(src, s, i, checksum_failures)));
-      } else {
-        TDE_ASSIGN_OR_RETURN(
-            auto bytes, FetchBlob(src, read, s.blob, "segment",
-                                  checksum_failures));
-        auto stream_r = EncodedStream::Open(std::move(bytes));
-        if (!stream_r.ok()) {
-          return {Status::IOError("column " + src.table_name + "." +
-                                  src.column_name + " segment " +
-                                  std::to_string(i) + ": " +
-                                  stream_r.status().message())};
-        }
-        std::shared_ptr<EncodedStream> stream(stream_r.MoveValue());
-        if (stream->size() != s.shape.rows) {
-          return {Status::IOError("column " + src.table_name + "." +
-                                  src.column_name + " segment " +
-                                  std::to_string(i) + " holds " +
-                                  std::to_string(stream->size()) +
-                                  " rows, directory says " +
-                                  std::to_string(s.shape.rows))};
-        }
-        TDE_RETURN_NOT_OK(seg->AddSealed(std::move(stream), s.shape.zone));
-        segment_bytes += s.blob.length;
-      }
+      TDE_RETURN_NOT_OK(seg->AddCold(
+          s.shape, MakeSegmentLoader(src, s, i, checksum_failures)));
     }
-    // In lazy mode no segment blob is resident yet, but the shell itself
-    // (cold descriptors + loaders) is, and it must carry a nonzero charge:
-    // a zero-cost entry would survive any budget, leaving the column
+    // No segment blob is resident yet, but the shell itself (cold
+    // descriptors + loaders) is, and it must carry a nonzero charge: a
+    // zero-cost entry would survive any budget, leaving the column
     // permanently "resident" even at budget 0.
-    if (lazy_segments) {
-      segment_bytes = src.segments.size() * kSegmentShellCharge;
-    }
     payload->stream = std::move(seg);
     payload->compressed_bytes = (src.has_heap ? src.heap.length : 0) +
                                 (src.has_dict ? src.dict.length : 0) +
-                                segment_bytes;
+                                src.segments.size() * kSegmentShellCharge;
   }
-  if (count_bytes_read) {
-    observe::QueryCount(observe::QueryCounter::kCacheBytesRead,
-                        payload->compressed_bytes);
-  }
+  observe::QueryCount(observe::QueryCounter::kCacheBytesRead,
+                      payload->compressed_bytes);
   if (payload->stream->size() != src.rows) {
     return {Status::IOError("column " + src.table_name + "." +
                             src.column_name + " stream holds " +
@@ -175,7 +144,7 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
   if (src.has_heap) {
     TDE_ASSIGN_OR_RETURN(
         auto heap_bytes,
-        FetchBlob(src, read, src.heap, "heap", checksum_failures));
+        FetchBlob(src, src.heap, "heap", checksum_failures));
     payload->heap = std::make_shared<StringHeap>(
         StringHeap::FromParts(std::move(heap_bytes), src.heap_entries,
                               src.heap_sorted, src.heap_collation));
@@ -191,7 +160,7 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
     }
     TDE_ASSIGN_OR_RETURN(
         auto dict_bytes,
-        FetchBlob(src, read, src.dict, "dictionary", checksum_failures));
+        FetchBlob(src, src.dict, "dictionary", checksum_failures));
     auto dict = std::make_shared<ArrayDictionary>();
     dict->type = src.dict_type;
     dict->sorted = src.dict_sorted;
@@ -200,13 +169,6 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
     payload->dict = std::move(dict);
   }
   return {std::shared_ptr<const LoadedColumn>(std::move(payload))};
-}
-
-/// Blob reads backed by the cold source's file reader.
-ColumnCache::BlobReadFn FileReadFn(const ColdSource& src) {
-  return [&src](const BlobRef& ref, std::vector<uint8_t>* scratch) {
-    return src.file->Read(ref.offset, ref.length, scratch);
-  };
 }
 
 }  // namespace
@@ -219,12 +181,6 @@ ColumnCache::ColumnCache(uint64_t budget_bytes) : budget_(budget_bytes) {
 }
 
 ColumnCache::~ColumnCache() = default;
-
-Result<std::shared_ptr<const LoadedColumn>> ColumnCache::LoadPayloadFrom(
-    const ColdSource& src, const BlobReadFn& read) {
-  return LoadPayloadImpl(src, read, /*count_bytes_read=*/false,
-                         /*lazy_segments=*/false, nullptr);
-}
 
 Status ColumnCache::Ensure(const Column* col) {
   const ColdSource* src = col->cold_source();
@@ -251,10 +207,7 @@ Status ColumnCache::Ensure(const Column* col) {
 
   // Blob fetch, checksum and decode run outside the cache lock, so one slow
   // cold materialization never serializes unrelated queries.
-  auto payload_r = LoadPayloadImpl(*src, FileReadFn(*src),
-                                   /*count_bytes_read=*/true,
-                                   /*lazy_segments=*/true,
-                                   checksum_failures_);
+  auto payload_r = LoadPayload(*src, checksum_failures_);
   if (payload_r.ok() && (*payload_r.value()).stream->segmented()) {
     // Segment fault-ins charge the cache as they happen. The cache outlives
     // every column it serves (each ColdSource holds a shared_ptr to it), so

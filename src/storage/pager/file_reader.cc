@@ -43,6 +43,10 @@ Result<std::shared_ptr<FileReader>> FileReader::Open(const std::string& path) {
     return {Status::IOError("cannot stat '" + path +
                             "': " + std::strerror(err))};
   }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return {Status::IOError("'" + path + "' is not a regular file")};
+  }
   auto r = std::shared_ptr<FileReader>(new FileReader());
   r->fd_ = fd;
   r->size_ = static_cast<uint64_t>(st.st_size);
@@ -60,6 +64,15 @@ Result<std::shared_ptr<FileReader>> FileReader::Open(const std::string& path) {
   return r;
 }
 
+std::shared_ptr<FileReader> FileReader::FromBytes(std::vector<uint8_t> bytes,
+                                                  std::string name) {
+  auto r = std::shared_ptr<FileReader>(new FileReader());
+  r->size_ = bytes.size();
+  r->bytes_ = std::move(bytes);
+  r->path_ = std::move(name);
+  return r;
+}
+
 Result<std::span<const uint8_t>> FileReader::Read(
     uint64_t offset, uint64_t length, std::vector<uint8_t>* scratch) const {
   if (length > size_ || offset > size_ - length) {
@@ -72,6 +85,10 @@ Result<std::span<const uint8_t>> FileReader::Read(
     return std::span<const uint8_t>(
         static_cast<const uint8_t*>(map_) + offset,
         static_cast<size_t>(length));
+  }
+  if (fd_ < 0) {
+    return std::span<const uint8_t>(bytes_.data() + offset,
+                                    static_cast<size_t>(length));
   }
   if (scratch == nullptr) {
     return {Status::Internal("pread fallback requires a scratch buffer")};

@@ -44,6 +44,12 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+/// True when `bytes` starts with the v2 magic.
+bool IsV2Magic(const uint8_t* bytes, size_t n) {
+  return n >= sizeof(kMagicV2) &&
+         std::memcmp(bytes, kMagicV2, sizeof(kMagicV2)) == 0;
+}
+
 bool ValidPageSize(uint32_t ps) {
   return ps >= 512 && ps <= (1u << 20) && (ps & (ps - 1)) == 0;
 }
@@ -378,13 +384,11 @@ std::shared_ptr<Column> MakeColdColumn(const ColumnEntry& e,
   return col;
 }
 
-}  // namespace
-
-bool IsV2Magic(const uint8_t* bytes, size_t n) {
-  return n >= sizeof(kMagicV2) &&
-         std::memcmp(bytes, kMagicV2, sizeof(kMagicV2)) == 0;
-}
-
+/// Writes `bytes` to a sibling temp file, fsyncs, and rename()s it over
+/// `path`. The switch is atomic: a crash mid-write leaves the old file
+/// intact, and an engine lazily reading from `path` keeps its mmap/fd on
+/// the old inode, so its directory offsets stay valid instead of dangling
+/// over a truncated in-place rewrite.
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
@@ -405,6 +409,8 @@ Status WriteFileAtomic(const std::string& path,
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
                            const WriteOptionsV2& options) {
@@ -608,12 +614,20 @@ struct HeaderV2 {
 
 Status ParseHeaderV2(std::span<const uint8_t> header, uint64_t actual_size,
                      HeaderV2* out) {
-  if (header.size() < kHeaderSizeV2) {
-    return Status::IOError("v2 file shorter than its header");
-  }
   const uint8_t* h = header.data();
   if (!IsV2Magic(h, header.size())) {
+    // Same magic stem, other version digit: a database written in a layout
+    // this engine no longer reads (the v1 format was retired).
+    if (header.size() >= sizeof(kMagicV2) &&
+        std::memcmp(h, kMagicV2, sizeof(kMagicV2) - 1) == 0) {
+      return Status::IOError(std::string("TDE database format '") +
+                             static_cast<char>(h[7]) +
+                             "' is not supported; re-import the source text");
+    }
     return Status::IOError("not a TDE v2 database file");
+  }
+  if (header.size() < kHeaderSizeV2) {
+    return Status::IOError("v2 file shorter than its header");
   }
   if (Crc32c(h, kHeaderCrcOff) != GetU32(h + kHeaderCrcOff)) {
     return Status::IOError("v2 header checksum mismatch");
@@ -693,7 +707,11 @@ Result<DirectoryV2> ParseDirectoryV2(std::span<const uint8_t> file_bytes) {
 Result<Database> OpenDatabaseV2(const std::string& path,
                                 std::shared_ptr<ColumnCache> cache) {
   TDE_ASSIGN_OR_RETURN(auto file, FileReader::Open(path));
+  return OpenDatabaseV2(std::move(file), std::move(cache));
+}
 
+Result<Database> OpenDatabaseV2(std::shared_ptr<FileReader> file,
+                                std::shared_ptr<ColumnCache> cache) {
   // Only the header + directory are read here: O(directory) open.
   std::vector<uint8_t> header_scratch;
   TDE_ASSIGN_OR_RETURN(
@@ -717,39 +735,6 @@ Result<Database> OpenDatabaseV2(const std::string& path,
       auto src = std::make_shared<const ColdSource>(
           MakeColdSource(e, te.name, file, cache));
       table->AddColumn(MakeColdColumn(e, std::move(src)));
-    }
-    db.AddTable(std::move(table));
-  }
-  return db;
-}
-
-Result<Database> ReadDatabaseV2Eager(std::span<const uint8_t> file_bytes) {
-  TDE_ASSIGN_OR_RETURN(DirectoryV2 dir, ParseDirectoryV2(file_bytes));
-  const ColumnCache::BlobReadFn read =
-      [file_bytes](const BlobRef& ref,
-                   std::vector<uint8_t>*) -> Result<std::span<const uint8_t>> {
-    if (ref.length > file_bytes.size() ||
-        ref.offset > file_bytes.size() - ref.length) {
-      return {Status::IOError("v2 blob out of bounds")};
-    }
-    return file_bytes.subspan(static_cast<size_t>(ref.offset),
-                              static_cast<size_t>(ref.length));
-  };
-  Database db;
-  for (const TableEntry& te : dir.tables) {
-    auto table = std::make_shared<Table>(te.name);
-    for (const ColumnEntry& e : te.columns) {
-      const ColdSource src = MakeColdSource(e, te.name, nullptr, nullptr);
-      TDE_ASSIGN_OR_RETURN(auto payload,
-                           ColumnCache::LoadPayloadFrom(src, read));
-      auto col = std::make_shared<Column>(e.name, e.type);
-      col->set_compression(static_cast<CompressionKind>(e.compression));
-      *col->mutable_metadata() = e.metadata;
-      col->set_encoding_changes(static_cast<int>(e.encoding_changes));
-      col->set_data(payload->stream);
-      col->set_heap(payload->heap);
-      col->set_array_dict(payload->dict);
-      table->AddColumn(std::move(col));
     }
     db.AddTable(std::move(table));
   }

@@ -14,6 +14,7 @@ namespace tde {
 namespace pager {
 
 class ColumnCache;
+class FileReader;
 
 /// File format v2 ("TDEDB002"): a page-aligned single-file database whose
 /// column blobs are independently addressable and verifiable, so a query
@@ -45,9 +46,6 @@ constexpr uint8_t kMagicV2[8] = {'T', 'D', 'E', 'D', 'B', '0', '0', '2'};
 constexpr uint32_t kFormatVersion2 = 2;
 constexpr uint32_t kFormatVersion3 = 3;
 constexpr size_t kHeaderSizeV2 = 64;
-
-/// True when `bytes` starts with the v2 magic.
-bool IsV2Magic(const uint8_t* bytes, size_t n);
 
 /// Directory entry for one segment of a segmented column (format v3).
 struct SegmentEntry {
@@ -119,14 +117,6 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
 Status WriteDatabaseV2(const Database& db, const std::string& path,
                        const WriteOptionsV2& options = {});
 
-/// Writes `bytes` to a sibling temp file, fsyncs, and rename()s it over
-/// `path`. The switch is atomic: a crash mid-write leaves the old file
-/// intact, and an engine lazily reading from `path` keeps its mmap/fd on
-/// the old inode, so its directory offsets stay valid instead of dangling
-/// over a truncated in-place rewrite. Used by both the v1 and v2 writers.
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes);
-
 /// Parses and validates the header + directory of a v2 image. Every
 /// length/offset is bounds-checked against the span; header and directory
 /// CRCs must match. Blob contents are NOT read (that is the cache's job).
@@ -134,13 +124,15 @@ Result<DirectoryV2> ParseDirectoryV2(std::span<const uint8_t> file_bytes);
 
 /// Lazy open: O(directory). Returns a database whose columns are cold and
 /// materialize through `cache` on first touch. The returned tables keep the
-/// file reader and cache alive via shared ownership.
+/// file reader and cache alive via shared ownership. This is the only way
+/// a database is read; an eager load is this open followed by
+/// Column::Warm() on the columns it needs resident.
 Result<Database> OpenDatabaseV2(const std::string& path,
                                 std::shared_ptr<ColumnCache> cache);
-
-/// Eager read of a v2 image from memory: every column materialized and
-/// warmed, nothing retained. The v2 counterpart of DeserializeDatabase.
-Result<Database> ReadDatabaseV2Eager(std::span<const uint8_t> file_bytes);
+/// Same, over an already-open reader (e.g. FileReader::FromBytes for an
+/// image held in memory).
+Result<Database> OpenDatabaseV2(std::shared_ptr<FileReader> file,
+                                std::shared_ptr<ColumnCache> cache);
 
 }  // namespace pager
 }  // namespace tde

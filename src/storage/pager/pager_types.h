@@ -66,7 +66,7 @@ struct ColdSource {
   BlobRef stream;
 
   /// Format v3: the column is segmented — `stream` is empty and each
-  /// segment has its own blob. v1/v2 columns leave this empty.
+  /// segment has its own blob. Monolithic columns leave this empty.
   std::vector<ColdSegment> segments;
 
   bool has_heap = false;

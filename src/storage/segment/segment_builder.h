@@ -25,8 +25,8 @@ Result<SealedSegment> EncodeSegment(const Lane* values, uint64_t count,
                                     const DynamicEncoderOptions& options);
 
 /// Decodes `stream` fully and re-encodes it as one monolithic stream —
-/// the fallback for writers that require a single serialized buffer (the
-/// eager v1 file format).
+/// the fallback for transformations that need a single buffer
+/// (AlterColumnToDictionary).
 Result<std::unique_ptr<EncodedStream>> MaterializeMonolithic(
     const EncodedStream& stream, DynamicEncoderOptions options);
 

@@ -60,9 +60,9 @@ class SegmentedStream : public EncodedStream {
   void set_charge_hook(ChargeHook hook);
 
   /// The dynamic-encoder configuration segments seal under. A re-encode of
-  /// the whole column (e.g. the v1 writer's monolithic collapse) must use
-  /// this, not defaults, or an encodings-off column would silently come
-  /// back compressed.
+  /// the whole column (e.g. AlterColumnToDictionary's monolithic collapse)
+  /// must use this, not defaults, or an encodings-off column would silently
+  /// come back compressed.
   const DynamicEncoderOptions& encoder_options() const { return options_; }
 
   // EncodedStream interface ------------------------------------------------

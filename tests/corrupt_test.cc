@@ -1,10 +1,12 @@
 // Failure injection: corrupt or truncated serialized streams and database
 // files must fail with clean IOError statuses, never fault.
 
+#include <cstdio>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "src/core/engine.h"
 #include "src/encoding/stream.h"
 #include "src/exec/flow_table.h"
 #include "src/storage/database_file.h"
@@ -114,19 +116,21 @@ TEST(CorruptStream, RleZeroFieldWidthRejected) {
   EXPECT_EQ(EncodedStream::Open(buf).status().code(), StatusCode::kIOError);
 }
 
-/// Parametrized over the file format version: the sweeps must hold for the
-/// eager v1 layout, the paged, checksummed v2 layout, and the segmented v3
-/// directory extension alike (DeserializeDatabase sniffs the magic and
-/// takes the right path).
+using testutil::LoadImage;
+
+/// Parametrized over the directory version: the sweeps must hold for the
+/// paged, checksummed v2 layout and the segmented v3 directory extension
+/// alike. Each image is read through the one opener and loaded whole
+/// (LoadImage), so every blob is checksum-verified.
 class CorruptDatabase : public ::testing::TestWithParam<int> {
  protected:
   std::vector<uint8_t> GoodDatabase() {
     Database db;
     auto t = std::make_shared<Table>("t");
     FlowTableOptions fopt;
-    // v3: segment the columns (2000 rows / 400 = 5 segments each). The
-    // other formats pin a threshold above the row count so the fixture
-    // stays monolithic whatever TDE_SEGMENT_ROWS the suite runs under.
+    // v3: segment the columns (2000 rows / 400 = 5 segments each). v2
+    // pins a threshold above the row count so the fixture stays
+    // monolithic whatever TDE_SEGMENT_ROWS the suite runs under.
     fopt.segment_rows = GetParam() == 3 ? 400 : 1 << 20;
     ColumnBuildInput in;
     in.name = "x";
@@ -147,26 +151,22 @@ class CorruptDatabase : public ::testing::TestWithParam<int> {
     sin.accel_arrived_sorted = acc.arrived_sorted();
     t->AddColumn(BuildColumn(std::move(sin), fopt).MoveValue());
     db.AddTable(t);
+    // Small pages keep the sweep positions dense across real content.
+    pager::WriteOptionsV2 opts;
+    opts.page_size = 512;
     std::vector<uint8_t> bytes;
-    if (GetParam() >= 2) {
-      // Small pages keep the sweep positions dense across real content.
-      pager::WriteOptionsV2 opts;
-      opts.page_size = 512;
-      EXPECT_TRUE(pager::SerializeDatabaseV2(db, &bytes, opts).ok());
-    } else {
-      EXPECT_TRUE(SerializeDatabase(db, &bytes).ok());
-    }
+    EXPECT_TRUE(pager::SerializeDatabaseV2(db, &bytes, opts).ok());
     return bytes;
   }
 };
 
 TEST_P(CorruptDatabase, TruncationAtManyOffsetsFailsCleanly) {
   const auto good = GoodDatabase();
-  ASSERT_TRUE(DeserializeDatabase(good).ok());
+  ASSERT_TRUE(LoadImage(good).ok());
   for (size_t cut = 0; cut < good.size(); cut += good.size() / 37 + 1) {
     std::vector<uint8_t> bad(good.begin(),
                              good.begin() + static_cast<ptrdiff_t>(cut));
-    const auto r = DeserializeDatabase(bad);
+    const auto r = LoadImage(bad);
     EXPECT_FALSE(r.ok()) << "cut at " << cut;
   }
 }
@@ -178,7 +178,7 @@ TEST_P(CorruptDatabase, BitFlipsInStreamHeadersFailCleanlyOrRoundTrip) {
   for (size_t pos = 8; pos < good.size(); pos += good.size() / 53 + 1) {
     std::vector<uint8_t> bad = good;
     bad[pos] ^= 0x5A;
-    auto r = DeserializeDatabase(bad);
+    auto r = LoadImage(bad);
     if (!r.ok()) continue;
     for (const auto& t : r.value().tables()) {
       for (size_t c = 0; c < t->num_columns(); ++c) {
@@ -192,16 +192,16 @@ TEST_P(CorruptDatabase, BitFlipsInStreamHeadersFailCleanlyOrRoundTrip) {
 }
 
 TEST_P(CorruptDatabase, DenseBitFlipsNearTheFrontFailCleanlyOrRoundTrip) {
-  // The first kilobyte holds the format's most load-bearing bytes (v1:
-  // table/column counts and the first stream header; v2: the entire file
-  // header). Walk it exhaustively with every single-bit flip.
+  // The first kilobyte holds the format's most load-bearing bytes: the
+  // entire file header and the first column blobs. Walk it exhaustively
+  // with every single-bit flip.
   const auto good = GoodDatabase();
   const size_t limit = std::min<size_t>(good.size(), 1024);
   for (size_t pos = 0; pos < limit; ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> bad = good;
       bad[pos] ^= static_cast<uint8_t>(1u << bit);
-      auto r = DeserializeDatabase(bad);
+      auto r = LoadImage(bad);
       if (!r.ok()) continue;
       for (const auto& t : r.value().tables()) {
         for (size_t c = 0; c < t->num_columns(); ++c) {
@@ -215,7 +215,7 @@ TEST_P(CorruptDatabase, DenseBitFlipsNearTheFrontFailCleanlyOrRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, CorruptDatabase,
-                         ::testing::Values(1, 2, 3),
+                         ::testing::Values(2, 3),
                          [](const auto& info) {
                            return "v" + std::to_string(info.param);
                          });
@@ -246,7 +246,7 @@ TEST(CorruptDatabaseV2, BlobCorruptionIsCaughtByChecksumOnEagerLoad) {
   ASSERT_GT(blob.length, 0u);
   std::vector<uint8_t> bad = good;
   bad[blob.offset + blob.length / 2] ^= 0x01;
-  const auto r = DeserializeDatabase(bad);
+  const auto r = LoadImage(bad);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
   EXPECT_NE(r.status().ToString().find("t.x"), std::string::npos)
@@ -288,7 +288,7 @@ TEST(CorruptDatabaseV3, SegmentBlobCorruptionCaughtByChecksum) {
   // reject the file, naming the column.
   std::vector<uint8_t> bad = good;
   bad[segs[2].blob.offset + segs[2].blob.length / 2] ^= 0x01;
-  const auto r = DeserializeDatabase(bad);
+  const auto r = LoadImage(bad);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
   EXPECT_NE(r.status().ToString().find("t.x"), std::string::npos)
@@ -358,7 +358,7 @@ TEST(CorruptDatabaseV3, DirectoryFlipsWithFixedCrcsFailCleanlyOrRoundTrip) {
     const uint32_t header_crc = pager::Crc32c(bad.data(), 56);
     std::memcpy(bad.data() + 56, &header_crc, 4);
 
-    auto r = DeserializeDatabase(bad);
+    auto r = LoadImage(bad);
     if (!r.ok()) continue;
     for (const auto& t : r.value().tables()) {
       for (size_t c = 0; c < t->num_columns(); ++c) {
@@ -370,9 +370,55 @@ TEST(CorruptDatabaseV3, DirectoryFlipsWithFixedCrcsFailCleanlyOrRoundTrip) {
   }
 }
 
-TEST(CorruptDatabase2, EmptyFileRejected) {
-  EXPECT_FALSE(DeserializeDatabase({}).ok());
+TEST(CorruptDatabase2, EmptyImageRejected) {
+  EXPECT_EQ(LoadImage({}).status().code(), StatusCode::kIOError);
 }
+
+/// Engine::OpenDatabase on paths that hold no database it can read. Each
+/// case must come back as an IOError Status, never a crash; the mmap and
+/// pread FileReader backends both run this (TDE_NO_MMAP=1 picks pread).
+class OpenDatabaseRejects : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OpenDatabaseRejects, WithIOError) {
+  const std::string kind = GetParam();
+  const std::string dir = ::testing::TempDir();
+  std::string path = dir + "/open_rejects_" + kind + ".tde";
+  auto write = [&](const std::vector<uint8_t>& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
+    std::fclose(f);
+  };
+  if (kind == "v1") {
+    // The retired v1 layout: its magic, then an empty table directory —
+    // the whole image of a v1 database with no tables.
+    write({'T', 'D', 'E', 'D', 'B', '0', '0', '1', 0, 0, 0, 0});
+  } else if (kind == "empty") {
+    write({});
+  } else if (kind == "seven_bytes") {
+    write({'T', 'D', 'E', 'D', 'B', '0', '0'});
+  } else if (kind == "missing") {
+    std::remove(path.c_str());
+  } else {
+    ASSERT_EQ(kind, "directory");
+    path = dir;
+  }
+  const auto e = Engine::OpenDatabase(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kIOError) << e.status().ToString();
+  if (kind == "v1") {
+    EXPECT_NE(e.status().ToString().find("re-import"), std::string::npos)
+        << e.status().ToString();
+  }
+  if (kind != "directory") std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(BadFiles, OpenDatabaseRejects,
+                         ::testing::Values("v1", "empty", "seven_bytes",
+                                           "missing", "directory"),
+                         [](const auto& info) { return info.param; });
 
 TEST(CorruptText, RandomGarbageImportsOrFailsCleanly) {
   // TextScan + inference over arbitrary bytes: any Status is acceptable,

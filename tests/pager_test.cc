@@ -14,6 +14,7 @@
 #include "src/storage/pager/column_cache.h"
 #include "src/storage/pager/crc32c.h"
 #include "src/storage/pager/file_reader.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
@@ -122,17 +123,33 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Crc32c(nullptr, 0), 0u);
 }
 
-TEST(FormatV2, EagerRoundTripThroughDeserializeDatabase) {
+TEST(FileReaderTest, BytesBackendIsBoundsCheckedLikeAFile) {
+  auto r = pager::FileReader::FromBytes({1, 2, 3, 4, 5});
+  EXPECT_EQ(r->size(), 5u);
+  EXPECT_FALSE(r->mmapped());
+  auto span = r->Read(1, 3, nullptr);
+  ASSERT_TRUE(span.ok()) << span.status().ToString();
+  EXPECT_EQ(std::vector<uint8_t>(span.value().begin(), span.value().end()),
+            (std::vector<uint8_t>{2, 3, 4}));
+  EXPECT_EQ(r->Read(3, 3, nullptr).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(r->Read(UINT64_MAX, 1, nullptr).status().code(),
+            StatusCode::kIOError);
+}
+
+TEST(FormatV2, EagerRoundTripOfAnInMemoryImage) {
   Database db = MakeDatabase();
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(pager::SerializeDatabaseV2(db, &bytes).ok());
-  ASSERT_TRUE(pager::IsV2Magic(bytes.data(), bytes.size()));
 
-  // DeserializeDatabase sniffs the v2 magic and takes the eager v2 path.
-  auto back = DeserializeDatabase(bytes);
+  // The image goes through the one opener (bytes-backed reader), then
+  // every column is warmed: an eager load.
+  auto back = testutil::LoadImage(std::move(bytes));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   auto t = back.value().GetTable("facts");
   ASSERT_TRUE(t.ok());
+  for (size_t i = 0; i < t.value()->num_columns(); ++i) {
+    EXPECT_FALSE(t.value()->column(i).cold());
+  }
   CheckFactsTable(*t.value());
 }
 
@@ -351,17 +368,11 @@ TEST(FormatV2, SaveOfLazyDatabaseCopiesThrough) {
   auto db = pager::OpenDatabaseV2(path, cache);
   ASSERT_TRUE(db.ok());
 
-  // Serializing a cold database pins each column in turn (v1 and v2).
+  // Serializing a cold database pins each column in turn.
   ASSERT_TRUE(pager::WriteDatabaseV2(db.value(), path2).ok());
   auto back = pager::OpenDatabaseV2(path2, cache);
   ASSERT_TRUE(back.ok());
   CheckFactsTable(*back.value().GetTable("facts").value());
-
-  std::vector<uint8_t> v1_bytes;
-  ASSERT_TRUE(SerializeDatabase(db.value(), &v1_bytes).ok());
-  auto v1_back = DeserializeDatabase(v1_bytes);
-  ASSERT_TRUE(v1_back.ok());
-  CheckFactsTable(*v1_back.value().GetTable("facts").value());
   std::remove(path.c_str());
   std::remove(path2.c_str());
 }
@@ -510,17 +521,6 @@ TEST(EngineV2, OpenDatabaseIsLazyAndStatsAreVisibleInSql) {
   ASSERT_EQ(stats.value().num_rows(), 1u);
   const Block& sb = stats.value().blocks()[0];
   EXPECT_EQ(sb.columns[1].lanes[0], 1);  // exactly one column materialized
-  std::remove(path.c_str());
-}
-
-TEST(EngineV2, V1FilesStillOpen) {
-  Database db = MakeDatabase();
-  const std::string path = TempPath("pager_v1.tde");
-  ASSERT_TRUE(WriteDatabase(db, path).ok());  // v1 writer
-  auto e = Engine::OpenDatabase(path);
-  ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_EQ(e.value().column_cache(), nullptr);  // eager: no cache
-  CheckFactsTable(*e.value().database()->GetTable("facts").value());
   std::remove(path.c_str());
 }
 

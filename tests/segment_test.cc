@@ -20,6 +20,7 @@
 #include "src/storage/pager/column_cache.h"
 #include "src/storage/pager/format.h"
 #include "src/storage/segment/segmented_stream.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
@@ -341,6 +342,105 @@ TEST(AppendRows, StringColumnsReinternThroughTheColumnHeap) {
   EXPECT_EQ(r2.value().Value(0, 0), 1);
 }
 
+/// String of fixture row `i`: five strings recur, and every seventh row
+/// carries a string of its own.
+std::string StringValue(int i) {
+  return i % 7 == 0 ? "u" + std::to_string(i) : "k" + std::to_string(i % 5);
+}
+
+/// Fixture rows [begin, end) as "s|v" text.
+std::string StringRows(int begin, int end) {
+  std::string out;
+  for (int i = begin; i < end; ++i) {
+    out += StringValue(i) + "|" + std::to_string(i) + "\n";
+  }
+  return out;
+}
+
+ImportOptions StringRowsImport() {
+  ImportOptions opts;
+  opts.text.field_separator = '|';
+  opts.text.has_header = true;
+  return opts;
+}
+
+TEST(AppendRows, StringGroupingMatchesADirectImport) {
+  // GROUP BY and COUNTD key string columns on heap tokens, so an appended
+  // string the column heap already holds must get that entry's token, not
+  // a fresh duplicate (which would group as a distinct value).
+  const char* prev = getenv("TDE_SEGMENT_ROWS");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("TDE_SEGMENT_ROWS", "256", 1);  // later appends seal segments
+
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ImportTextBuffer("s|v\n" + StringRows(0, 500), "t",
+                                    StringRowsImport())
+                  .ok());
+  StrategicOptions off;
+  off.enable_invisible_join = false;
+  off.enable_rank_join = false;
+  off.enable_simplification = false;
+  off.enable_filter_pushdown = false;
+  off.enable_projection_pruning = false;
+  off.enable_metadata_pruning = false;
+  off.enable_run_filters = false;
+  off.enable_dict_predicates = false;
+  off.enable_dict_grouping = false;
+  off.enable_run_aggregation = false;
+  off.enable_metadata_aggregates = false;
+  off.enable_topn = false;
+  off.enable_dict_sort = false;
+  off.enable_sort_pruning = false;
+  const char* queries[] = {
+      "SELECT s, COUNT(v) AS n, SUM(v) AS total FROM t GROUP BY s "
+      "ORDER BY s",
+      "SELECT COUNTD(s) AS d FROM t"};
+
+  int end = 500;
+  for (int batch = 0; batch < 3; ++batch) {
+    // Each block brings its own heap, with no deduplication of its own.
+    Block rows;
+    rows.columns.resize(2);
+    rows.columns[0].type = TypeId::kString;
+    auto heap = std::make_shared<StringHeap>();
+    rows.columns[1].type = TypeId::kInteger;
+    const int begin = end;
+    end += 300;
+    for (int i = begin; i < end; ++i) {
+      rows.columns[0].lanes.push_back(heap->Add(StringValue(i)));
+      rows.columns[1].lanes.push_back(i);
+    }
+    rows.columns[0].heap = std::move(heap);
+    auto n = engine.AppendRows("t", rows);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_EQ(n.value(), static_cast<uint64_t>(end));
+
+    Engine direct;
+    ASSERT_TRUE(direct
+                    .ImportTextBuffer("s|v\n" + StringRows(0, end), "t",
+                                      StringRowsImport())
+                    .ok());
+    for (const char* sql : queries) {
+      for (const StrategicOptions& opts : {StrategicOptions{}, off}) {
+        auto got = engine.ExecuteSql(sql, opts);
+        auto want = direct.ExecuteSql(sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_EQ(got.value().ToCsv(), want.value().ToCsv())
+            << "after append " << batch << ": " << sql;
+      }
+    }
+  }
+  if (prev != nullptr) {
+    setenv("TDE_SEGMENT_ROWS", saved.c_str(), 1);
+  } else {
+    unsetenv("TDE_SEGMENT_ROWS");
+  }
+  auto col = engine.database()->GetTable("t").value()->ColumnByName("s");
+  EXPECT_GT(col.value()->SegmentShapes().size(), 2u);
+}
+
 TEST(AppendRows, RejectsMalformedBlocks) {
   Engine engine;
   auto t = std::make_shared<Table>("t");
@@ -365,7 +465,7 @@ TEST(AppendRows, RejectsMalformedBlocks) {
   EXPECT_FALSE(engine.AppendRows("t", wrong_type).ok());
 }
 
-TEST(AppendRows, PersistsThroughV3AndV1) {
+TEST(AppendRows, PersistsThroughV3) {
   Engine engine;
   auto t = std::make_shared<Table>("t");
   std::vector<Lane> init(10);
@@ -392,13 +492,15 @@ TEST(AppendRows, PersistsThroughV3AndV1) {
   EXPECT_EQ(r.value().Value(0, 0), expected);
   std::remove(path.c_str());
 
-  // The v1 writer materializes segmented columns monolithic.
-  std::vector<uint8_t> v1;
-  ASSERT_TRUE(SerializeDatabase(*engine.database(), &v1).ok());
-  auto eager = DeserializeDatabase(v1);
+  // An eager load of the same image (open, then warm every column) keeps
+  // the segments: the adopted 10-row stream and the sealed tail.
+  std::vector<uint8_t> image;
+  ASSERT_TRUE(pager::SerializeDatabaseV2(*engine.database(), &image).ok());
+  auto eager = testutil::LoadImage(std::move(image));
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
   auto col = eager.value().GetTable("t").value()->ColumnByName("x").value();
-  EXPECT_FALSE(col->segmented_storage());
+  EXPECT_FALSE(col->cold());
+  EXPECT_TRUE(col->segmented_storage());
   std::vector<Lane> got(17);
   ASSERT_TRUE(col->GetLanes(0, 17, got.data()).ok());
   EXPECT_EQ(got[0], 0);

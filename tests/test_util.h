@@ -13,7 +13,12 @@
 
 #include "src/exec/block.h"
 #include "src/exec/flow_table.h"
+#include "src/storage/database_file.h"
 #include "src/storage/heap_accelerator.h"
+#include "src/storage/pager/column_cache.h"
+#include "src/storage/pager/file_reader.h"
+#include "src/storage/pager/format.h"
+#include "src/storage/segment/segmented_stream.h"
 
 namespace tde {
 namespace testutil {
@@ -149,6 +154,41 @@ inline std::vector<Block> Drain(Operator* op) {
     std::abort();
   }
   return out;
+}
+
+/// Loads an opened database whole: Column::Warm() on every column, plus
+/// a fault-in of every segment of the segmented ones (Warm leaves those to
+/// first touch), so each blob is read and checksum-verified now. Returns
+/// the first failure.
+inline Status WarmAll(const Database& db) {
+  for (const auto& t : db.tables()) {
+    for (size_t i = 0; i < t->num_columns(); ++i) {
+      Column* col = t->mutable_column(i);
+      TDE_RETURN_NOT_OK(col->Warm());
+      const EncodedStream* stream = col->data();
+      if (stream == nullptr || !stream->segmented()) continue;
+      const auto* seg = static_cast<const SegmentedStream*>(stream);
+      const std::vector<SegmentShape> shapes = seg->Shapes();
+      for (size_t s = 0; s < shapes.size(); ++s) {
+        if (shapes[s].open_tail) continue;
+        TDE_RETURN_NOT_OK(seg->SegmentStreamForRead(s).status());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Reads a database image held in memory through the one opener
+/// (pager::OpenDatabaseV2 over a bytes-backed FileReader) and loads it
+/// whole with WarmAll.
+inline Result<Database> LoadImage(std::vector<uint8_t> bytes) {
+  auto cache = std::make_shared<pager::ColumnCache>(UINT64_MAX);
+  TDE_ASSIGN_OR_RETURN(
+      Database db,
+      pager::OpenDatabaseV2(pager::FileReader::FromBytes(std::move(bytes)),
+                            std::move(cache)));
+  TDE_RETURN_NOT_OK(WarmAll(db));
+  return db;
 }
 
 }  // namespace testutil
